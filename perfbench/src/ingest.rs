@@ -4,10 +4,8 @@
 
 use crate::oracle::{mix, Oracle, Picker, QueryGen, VersionSource};
 use crate::run::{
-    self, check_versions, client_loop, enough_samples, load, new_store, online_phase, ClassCounts,
-    Measured, Sizes, Visibility, ROUNDS, SETUPS_PER_ROUND,
+    self, class_at, client_loop, enough_samples, online_phase, Rig, Sizes, Visibility, ROUNDS,
 };
-use crate::trace::Tracer;
 use crate::Options;
 use rstore_core::online::truncate_dataset;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -19,68 +17,50 @@ pub fn run(opts: &Options) -> Result<run::Outcome, String> {
     let total = oracle.version_count();
     let loaded = sizes.ingest_prefix;
     let prefix = truncate_dataset(&oracle.dataset, loaded);
-    let epoch = Instant::now();
-    let mut writer = opts.trace.then(|| Tracer::new(epoch, 0));
-    let mut reader = opts.trace.then(|| Tracer::new(epoch, 1));
-    let mut m = Measured::default();
+    let mut rig = Rig::new(opts, &oracle, 1);
     let mut gen = QueryGen::new(
         mix(opts.seed ^ 0x5EED_0000),
         VersionSource::Visible,
         Picker::Uniform(oracle.keys.clone()),
-        sizes.range_len,
     );
-    let counts: ClassCounts = Default::default();
     let seconds = Duration::from_secs(opts.seconds);
-    let run_start = Instant::now();
     let mut timed = Duration::ZERO;
-    let mut cycle = 0u64;
     loop {
-        // Set-up: fresh cluster and store, bulk load of the prefix.
-        let mut kept = None;
-        for _ in 0..SETUPS_PER_ROUND {
-            drop(kept.take());
-            let t = Instant::now();
-            let store = new_store(&sizes, sizes.hot_cache);
-            let report = load(&store, &prefix, writer.as_mut())?;
-            m.setup_secs.push(t.elapsed().as_secs_f64());
-            m.loads.push(report);
-            kept = Some((store, report));
-        }
-        let (store, loaded_report) = kept.expect("SETUPS_PER_ROUND > 0");
+        let (store, ()) = rig.set_up(sizes.hot_cache, &prefix, |_| Ok(()))?;
 
         // Timed: the writer commits the rest of the dataset, flushing
         // every FLUSH_EVERY commits, then compacts; one closed-loop
         // reader queries the flushed versions until the writer is done.
+        // The reader's classes take turns in short slices of timed
+        // time, so every class samples every stage of the writer's
+        // cycle; the whole store fits the cache, so no class evicts
+        // another's chunks.
         let vis = Visibility::new(loaded);
         let done = AtomicBool::new(false);
-        let keep_going = || !done.load(Ordering::SeqCst);
-        let cache0 = store.cache_stats();
-        let cluster0 = store.cluster().stats();
         let start = Instant::now();
-        let (online, log) = std::thread::scope(|sc| {
-            let (store, oracle, vis, counts, gen) = (&store, &oracle, &vis, &counts, &mut gen);
-            let tracer = reader.as_mut();
-            let r =
-                sc.spawn(move || client_loop(store, oracle, gen, vis, tracer, counts, &keep_going));
-            let online = online_phase(store, &oracle.dataset, loaded, vis, writer.as_mut());
-            done.store(true, Ordering::SeqCst);
-            (online, r.join().expect("reader thread panicked"))
+        let schedule = || {
+            let class = class_at(timed + start.elapsed(), sizes.ingest_slice);
+            (!done.load(Ordering::SeqCst)).then_some(class)
+        };
+        let online = rig.read_phase(&store, |readers, writer, counts| {
+            std::thread::scope(|sc| {
+                let (store, oracle, vis, gen) = (&store, &oracle, &vis, &mut gen);
+                let tracer = readers[0].as_mut();
+                let schedule = &schedule;
+                let r = sc
+                    .spawn(move || client_loop(store, oracle, gen, vis, tracer, counts, schedule));
+                let online = online_phase(store, &oracle.dataset, loaded, vis, writer);
+                done.store(true, Ordering::SeqCst);
+                (vec![r.join().expect("reader thread panicked")], online)
+            })
         });
-        let elapsed = start.elapsed();
-        timed += elapsed;
-        m.read_secs += elapsed.as_secs_f64();
-        m.add_cache(&cache0, &store.cache_stats());
-        m.batch_gets += store.cluster().stats().since(&cluster0).batch_gets;
-        m.reads.absorb(log);
-        m.online.push(online?);
+        timed += start.elapsed();
+        rig.m.online.push(online?);
+        rig.end_round(&store);
 
-        // Off the clock: read back a seeded sample of versions after
-        // compaction and reclamation.
-        let (a, w, first) = check_versions(&store, &oracle, total, mix(opts.seed ^ 0xC4EC ^ cycle));
-        m.add_check(a, w, first);
-        if cycle == 0 {
-            let (r, _) = loaded_report;
-            m.notes.push(format!(
+        if rig.rounds() == 1 {
+            let (r, _) = &rig.m.loads[0];
+            rig.m.notes.push(format!(
                 "dataset {}: {} versions loaded ({} records, {:.1} MB raw) + {} committed online",
                 oracle.dataset.spec.name,
                 loaded,
@@ -89,24 +69,10 @@ pub fn run(opts: &Options) -> Result<run::Outcome, String> {
                 total - loaded
             ));
         }
-        m.storage_bytes = store.storage_bytes();
-        m.bytes_written = store.cluster().stats().bytes_written;
-        cycle += 1;
-        let measured = timed >= seconds && cycle >= ROUNDS as u64 && enough_samples(&counts);
-        if measured {
-            break;
-        }
-        if run_start.elapsed() >= sizes.max_phase {
-            m.notes.push("ingest cycles hit their time cap".into());
+        let measured = timed >= seconds && rig.rounds() >= ROUNDS && enough_samples(rig.counts());
+        if measured || Instant::now() >= rig.deadline {
             break;
         }
     }
-    m.notes.push(format!("{cycle} ingest cycles"));
-    m.count_online();
-    m.check_reads(&oracle);
-    m.user_bytes = oracle.user_bytes(total as u32);
-    for t in [reader, writer].into_iter().flatten() {
-        m.spans.extend(t.into_spans());
-    }
-    run::finish(m, opts)
+    rig.finish()
 }

@@ -105,6 +105,9 @@ pub enum Class {
 }
 
 impl Class {
+    /// Every class, in the order phases run them.
+    pub const ALL: [Class; 4] = [Class::Version, Class::Point, Class::Range, Class::Evolution];
+
     /// Index into per-class arrays.
     pub fn index(self) -> usize {
         self as usize
@@ -341,54 +344,59 @@ pub enum VersionSource {
     Visible,
 }
 
-/// The query mix in percent: Q1, point, Q2 (the rest is Q3).
-pub const MIX: [usize; 3] = [35, 35, 15];
+/// A Q2 range covers this share of its version's keys (a tenth, as
+/// the repository's Fig. 11 reproduction, `exp_fig11_queries`, sizes
+/// its ranges).
+pub const RANGE_DIVISOR: usize = 10;
 
-/// A seeded stream of queries.
+/// A seeded stream of queries. The caller names each query's class,
+/// so the workload, not a mix drawn here, decides when each class runs.
 pub struct QueryGen {
     rng: Rng,
     versions: VersionSource,
     keys: Picker<u64>,
-    range_len: usize,
 }
 
 impl QueryGen {
-    /// A stream drawing versions from `versions`, Q3 keys from `keys`
-    /// and Q2 ranges of `range_len` consecutive keys.
-    pub fn new(seed: u64, versions: VersionSource, keys: Picker<u64>, range_len: usize) -> Self {
+    /// A stream drawing versions from `versions` and Q3 keys from
+    /// `keys`.
+    pub fn new(seed: u64, versions: VersionSource, keys: Picker<u64>) -> Self {
         Self {
             rng: Rng::new(seed),
             versions,
             keys,
-            range_len,
         }
     }
 
-    /// The next query, over versions `0..visible` (`visible > 0`).
-    /// Point and range keys are drawn uniformly from the version's own
-    /// keys, so every point read finds its record.
-    pub fn next(&mut self, oracle: &Oracle, visible: u32) -> Query {
-        let class = self.rng.below(100);
+    /// The next query of `class`, over versions `0..visible`
+    /// (`visible > 0`). Point and range keys are drawn uniformly from
+    /// the version's own keys, so every point read finds its record; a
+    /// range spans [`RANGE_DIVISOR`]th of them. A version without
+    /// records is read whole.
+    pub fn next(&mut self, class: Class, oracle: &Oracle, visible: u32) -> Query {
+        if class == Class::Evolution {
+            return Query::Evolution(self.keys.pick(&mut self.rng));
+        }
         let v = match &self.versions {
             VersionSource::Fixed(p) => p.pick(&mut self.rng),
             VersionSource::Visible => self.rng.below(visible as usize) as u32,
         };
         let contents = oracle.contents(v);
-        if class < MIX[0] || contents.is_empty() {
-            Query::Version(v)
-        } else if class < MIX[0] + MIX[1] {
-            let pk = contents[self.rng.below(contents.len())].0;
-            Query::Record { pk, v }
-        } else if class < MIX[0] + MIX[1] + MIX[2] {
-            let len = self.range_len.min(contents.len());
-            let i = self.rng.below(contents.len() - len + 1);
-            Query::Range {
-                lo: contents[i].0,
-                hi: contents[i + len - 1].0,
-                v,
+        match class {
+            Class::Point if !contents.is_empty() => {
+                let pk = contents[self.rng.below(contents.len())].0;
+                Query::Record { pk, v }
             }
-        } else {
-            Query::Evolution(self.keys.pick(&mut self.rng))
+            Class::Range if !contents.is_empty() => {
+                let len = (contents.len() / RANGE_DIVISOR).max(1);
+                let i = self.rng.below(contents.len() - len + 1);
+                Query::Range {
+                    lo: contents[i].0,
+                    hi: contents[i + len - 1].0,
+                    v,
+                }
+            }
+            _ => Query::Version(v),
         }
     }
 }

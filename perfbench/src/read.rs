@@ -1,20 +1,17 @@
-//! `read_cold` and `read_hot`: two closed-loop readers over dataset C0,
-//! then the online tail, in [`ROUNDS`] rounds on fresh stores.
+//! `read_cold` and `read_hot`: closed-loop readers over dataset C0,
+//! one query class at a time, then the online tail, in [`ROUNDS`]
+//! rounds on fresh stores.
 
 use crate::oracle::{mix, Class, Oracle, Picker, Query, QueryGen, Rng, VersionSource};
-use crate::quantile::percentile;
 use crate::run::{
-    self, check_versions, client_loop, enough_samples, load, new_store, online_phase, ClassCounts,
-    Measured, Sizes, Visibility, ROUNDS, SETUPS_PER_ROUND,
+    self, class_at, client_loop, has_samples, online_phase, ClassCounts, ClientLog, Rig, Sizes,
+    Visibility, ROUNDS,
 };
 use crate::trace::Tracer;
 use crate::{Options, Workload};
 use rstore_core::online::truncate_dataset;
-use rstore_core::store::LoadReport;
 use rstore_core::RStore;
-use rstore_vgraph::Dataset;
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 /// Closed-loop reading clients: two on `read_cold` (the host has two
@@ -105,37 +102,32 @@ fn warm(store: &RStore, hot: &HotSet) -> Result<(), String> {
     Ok(())
 }
 
-/// A set-up store, its bulk load's report and wall time, and
-/// `read_hot`'s hot set.
-type SetUp = (RStore, (LoadReport, Duration), Option<HotSet>);
-
-/// Sets a store up: fresh cluster, bulk load, and for `read_hot` the
-/// hot set and its warm-up.
-fn set_up(
-    opts: &Options,
-    sizes: &Sizes,
+/// Runs `clients` closed-loop readers, one thread each, until
+/// `schedule` says stop, and returns their logs.
+fn run_clients(
+    store: &RStore,
     oracle: &Oracle,
-    prefix: &Dataset,
-    tracer: Option<&mut Tracer>,
-) -> Result<SetUp, String> {
-    let hot = opts.workload == Workload::ReadHot;
-    let store = new_store(
-        sizes,
-        if hot {
-            sizes.hot_cache
-        } else {
-            sizes.cold_cache
-        },
-    );
-    let report = load(&store, prefix, tracer)?;
-    let hot_set = if hot {
-        let h = hot_set(&store, oracle, sizes, HOT_SET_SEED)?;
-        warm(&store, &h)?;
-        Some(h)
-    } else {
-        None
-    };
-    Ok((store, report, hot_set))
+    vis: &Visibility,
+    gens: &mut [QueryGen],
+    tracers: &mut [Option<Tracer>],
+    counts: &ClassCounts,
+    schedule: &(dyn Fn() -> Option<Class> + Sync),
+) -> Vec<ClientLog> {
+    std::thread::scope(|sc| {
+        let handles: Vec<_> = gens
+            .iter_mut()
+            .zip(tracers.iter_mut())
+            .map(|(gen, tracer)| {
+                sc.spawn(move || {
+                    client_loop(store, oracle, gen, vis, tracer.as_mut(), counts, schedule)
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("reader thread panicked"))
+            .collect()
+    })
 }
 
 pub fn run(opts: &Options) -> Result<run::Outcome, String> {
@@ -144,33 +136,29 @@ pub fn run(opts: &Options) -> Result<run::Outcome, String> {
     let loaded = sizes.read_versions;
     let total = oracle.version_count();
     let prefix = truncate_dataset(&oracle.dataset, loaded);
-    let epoch = Instant::now();
-    let mut writer = opts.trace.then(|| Tracer::new(epoch, 0));
-    let clients = clients(opts.workload);
-    let mut tracers: Vec<Option<Tracer>> = (0..clients)
-        .map(|c| opts.trace.then(|| Tracer::new(epoch, 1 + c as u32)))
-        .collect();
+    let hot = opts.workload == Workload::ReadHot;
+    let cache_budget = if hot {
+        sizes.hot_cache
+    } else {
+        sizes.cold_cache
+    };
+    let mut rig = Rig::new(opts, &oracle, clients(opts.workload));
     let mut gens: Vec<QueryGen> = Vec::new();
-    let mut m = Measured::default();
-    let counts: ClassCounts = Default::default();
     let share = Duration::from_secs(opts.seconds) / ROUNDS as u32;
-    let run_start = Instant::now();
-    let timed_out = AtomicBool::new(false);
+    let deadline = rig.deadline;
 
     for round in 0..ROUNDS {
-        let mut kept = None;
-        for _ in 0..SETUPS_PER_ROUND {
-            drop(kept.take());
-            let t = Instant::now();
-            let s = set_up(opts, &sizes, &oracle, &prefix, writer.as_mut())?;
-            m.setup_secs.push(t.elapsed().as_secs_f64());
-            m.loads.push(s.1);
-            kept = Some(s);
-        }
-        let (store, report, hot_set) = kept.expect("SETUPS_PER_ROUND > 0");
+        let (store, hot_set) = rig.set_up(cache_budget, &prefix, |store| {
+            hot.then(|| {
+                let h = hot_set(store, &oracle, &sizes, HOT_SET_SEED)?;
+                warm(store, &h)?;
+                Ok(h)
+            })
+            .transpose()
+        })?;
         if round == 0 {
-            let (r, _) = report;
-            m.notes.push(format!(
+            let (r, _) = &rig.m.loads[0];
+            rig.m.notes.push(format!(
                 "dataset {}: {} versions loaded + {} online per round, {} records, {:.1} MB raw, {:.1} MB stored, {} chunks",
                 oracle.dataset.spec.name,
                 loaded,
@@ -180,15 +168,14 @@ pub fn run(opts: &Options) -> Result<run::Outcome, String> {
                 r.compressed_bytes as f64 / 1e6,
                 r.num_chunks
             ));
-            let cache = store.config().cache_budget;
+            let cache = cache_budget >> 10;
             let (versions, keys) = match &hot_set {
                 Some(h) => {
-                    m.notes.push(format!(
-                        "hot set: {} versions, {} Q3 keys, {} chunks; cache {} KB",
+                    rig.m.notes.push(format!(
+                        "hot set: {} versions, {} Q3 keys, {} chunks; cache {cache} KB",
                         h.versions.len(),
                         h.keys.len(),
                         h.chunks,
-                        cache >> 10
                     ));
                     (
                         VersionSource::Fixed(Picker::zipf(h.versions.clone(), ZIPF_THETA)),
@@ -196,101 +183,54 @@ pub fn run(opts: &Options) -> Result<run::Outcome, String> {
                     )
                 }
                 None => {
-                    m.notes.push(format!(
-                        "uniform over {loaded} versions; cache {} KB",
-                        cache >> 10
-                    ));
+                    rig.m
+                        .notes
+                        .push(format!("uniform over {loaded} versions; cache {cache} KB"));
                     (
                         VersionSource::Visible,
                         Picker::Uniform(oracle.keys_before(loaded as u32)),
                     )
                 }
             };
-            gens = (0..clients)
+            gens = (0..rig.m.clients)
                 .map(|c| {
                     QueryGen::new(
                         mix(opts.seed ^ (0x5EED_0000 + c as u64)),
                         versions.clone(),
                         keys.clone(),
-                        sizes.range_len,
                     )
                 })
                 .collect();
         }
 
-        // Timed reads: closed-loop clients for this round's
-        // share of `seconds`; the last round runs on until every class
-        // has its samples.
+        // Timed reads for the round's share of `seconds`, the classes
+        // taking turns in slices, so no class's latency depends on the
+        // others' share of the traffic; then any class short of the
+        // round's share of its samples reads on alone.
         let vis = Visibility::new(loaded);
-        let last = round + 1 == ROUNDS;
-        let cache0 = store.cache_stats();
-        let cluster0 = store.cluster().stats();
-        let start = Instant::now();
-        let keep_going = || {
-            if run_start.elapsed() >= sizes.max_phase {
-                timed_out.store(true, Ordering::Relaxed);
-                return false;
-            }
-            start.elapsed() < share || (last && !enough_samples(&counts))
-        };
-        let logs: Vec<run::ClientLog> = std::thread::scope(|sc| {
-            let handles: Vec<_> = gens
-                .iter_mut()
-                .zip(tracers.iter_mut())
-                .map(|(gen, tracer)| {
-                    let (store, oracle, vis, counts, keep_going) =
-                        (&store, &oracle, &vis, &counts, &keep_going);
-                    sc.spawn(move || {
-                        client_loop(store, oracle, gen, vis, tracer.as_mut(), counts, keep_going)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("reader thread panicked"))
-                .collect()
+        rig.read_phase(&store, |readers, _, counts| {
+            let start = Instant::now();
+            let schedule = || {
+                let t = start.elapsed();
+                if Instant::now() >= deadline {
+                    None
+                } else if t < share {
+                    Some(class_at(t, sizes.read_slice))
+                } else {
+                    Class::ALL
+                        .into_iter()
+                        .find(|&c| !has_samples(counts, c, round + 1))
+                }
+            };
+            let logs = run_clients(&store, &oracle, &vis, &mut gens, readers, counts, &schedule);
+            (logs, ())
         });
-        m.read_secs += start.elapsed().as_secs_f64();
-        m.add_cache(&cache0, &store.cache_stats());
-        m.batch_gets += store.cluster().stats().since(&cluster0).batch_gets;
-        let mut round_log = run::ClientLog::default();
-        for log in logs {
-            round_log.absorb(log);
-        }
-        if let Ok(p50) = percentile(&round_log.latencies[Class::Version.index()], 0.5) {
-            m.notes.push(format!("round {round}: Q1 p50 {p50:.4} ms"));
-        }
-        m.reads.absorb(round_log);
 
         // The online tail: the dataset's remaining versions committed,
         // flushed and compacted; no reads run beside it.
-        m.online.push(online_phase(
-            &store,
-            &oracle.dataset,
-            loaded,
-            &vis,
-            writer.as_mut(),
-        )?);
-
-        // Off the clock: read back a seeded sample of versions.
-        let (a, w, first) = check_versions(
-            &store,
-            &oracle,
-            total,
-            mix(opts.seed ^ 0xC4EC ^ round as u64),
-        );
-        m.add_check(a, w, first);
-        m.storage_bytes = store.storage_bytes();
-        m.bytes_written = store.cluster().stats().bytes_written;
+        let tail = online_phase(&store, &oracle.dataset, loaded, &vis, rig.writer.as_mut())?;
+        rig.m.online.push(tail);
+        rig.end_round(&store);
     }
-    if timed_out.load(Ordering::Relaxed) {
-        m.notes.push("read phases hit their time cap".into());
-    }
-    m.count_online();
-    m.check_reads(&oracle);
-    m.user_bytes = oracle.user_bytes(total as u32);
-    for t in tracers.into_iter().chain([writer]).flatten() {
-        m.spans.extend(t.into_spans());
-    }
-    run::finish(m, opts)
+    rig.finish()
 }

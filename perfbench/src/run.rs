@@ -1,9 +1,9 @@
 //! Machinery shared by the workloads: store construction, the timed
 //! query and ingest loops, answer checks and metric assembly.
 
-use crate::oracle::{Class, Digest, Oracle, Query, QueryGen, Rng};
+use crate::oracle::{mix, Class, Digest, Oracle, Query, QueryGen, Rng};
 use crate::quantile::{median, percentile};
-use crate::trace::{self, maybe_span, Span, Tracer};
+use crate::trace::{self, maybe_span, merge_self_times, SelfTimes, Span, Tracer};
 use crate::{Options, Scale, FLUSH_EVERY, TAIL};
 use rstore_core::partition::PartitionerKind;
 use rstore_core::store::{FlushReport, IngestStages, LoadReport, DEFAULT_CACHE_BUDGET};
@@ -13,18 +13,21 @@ use rstore_core::{
 use rstore_kvstore::{Cluster, NetworkModel};
 use rstore_vgraph::gen::presets;
 use rstore_vgraph::{Dataset, DatasetSpec, VersionNode};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 /// Storage nodes of the simulated cluster.
 pub const NODES: usize = 6;
 /// Rounds per run (the least number of cycles, for `ingest_online`).
-/// Each round sets fresh stores up and measures a share of the run, so
-/// every metric samples the whole run, not one moment of a host whose
-/// speed drifts.
+/// Each round sets a fresh store up and measures a share of the run,
+/// so every metric samples the whole run, not one moment of a host
+/// whose speed drifts.
 pub const ROUNDS: usize = 3;
-/// Set-ups per round or cycle; the round continues on the last one.
+/// Set-ups per round or cycle. `setup_s` and `load_mb_s` are medians
+/// over them; with one per round, five `ingest_online` runs spread
+/// 0.18 and 0.21 on them (interquartile range over median), against
+/// 0.09 with two.
 pub const SETUPS_PER_ROUND: usize = 2;
 /// Versions read back exactly after every online phase.
 pub const CHECKED_VERSIONS: usize = 16;
@@ -47,8 +50,11 @@ pub struct Sizes {
     pub hot_cache: usize,
     /// Chunks the hot set of `read_hot` may span.
     pub hot_chunks: usize,
-    /// Records per Q2 range.
-    pub range_len: usize,
+    /// How long the read workloads' readers stay with one query class
+    /// before the next takes its turn.
+    pub read_slice: Duration,
+    /// The same for `ingest_online`'s reader.
+    pub ingest_slice: Duration,
     /// Versions the read workloads bulk-load (the online tail commits
     /// [`TAIL`] more).
     pub read_versions: usize,
@@ -71,7 +77,8 @@ impl Sizes {
                 cold_cache: 4 * 1024 * 1024,
                 hot_cache: DEFAULT_CACHE_BUDGET,
                 hot_chunks: 320,
-                range_len: 40,
+                read_slice: Duration::from_millis(250),
+                ingest_slice: Duration::from_millis(25),
                 read_versions: 2001,
                 ingest_prefix: 500,
                 ingest_versions: 1001,
@@ -84,7 +91,8 @@ impl Sizes {
                 cold_cache: 4 * 1024,
                 hot_cache: DEFAULT_CACHE_BUDGET,
                 hot_chunks: 16,
-                range_len: 8,
+                read_slice: Duration::from_millis(10),
+                ingest_slice: Duration::from_millis(1),
                 read_versions: 24,
                 ingest_prefix: 12,
                 ingest_versions: 12 + TAIL,
@@ -279,36 +287,26 @@ pub fn run_query(
     Ok((Digest::of(&records), latency))
 }
 
-/// A timed answer, kept for the check after the run.
-#[derive(Debug, Clone, Copy)]
-pub struct Answer {
-    /// The query.
-    pub q: Query,
-    /// Versions flushed when it was issued.
-    pub lo: u32,
-    /// Upper bound of versions flushed when it completed.
-    pub hi: u32,
-    /// What came back.
-    pub digest: Digest,
-}
-
 /// What one closed-loop reader did.
 #[derive(Debug, Default)]
 pub struct ClientLog {
     /// Latency in ms of every answered query, per class.
     pub latencies: [Vec<f64>; 4],
-    /// Summed latency (ms) and count of traced queries.
-    pub traced: (f64, u64),
-    /// Summed latency (ms) and count of untraced queries.
-    pub untraced: (f64, u64),
-    /// Every answer, for the check.
-    pub answers: Vec<Answer>,
+    /// Wall time of the client's loop, including the benchmark's own
+    /// work between queries (digests, answer checks, query generation).
+    pub wall: Duration,
+    /// Summed latency (ms) and count of traced queries, per class.
+    pub traced: [(f64, u64); 4],
+    /// Summed latency (ms) and count of untraced queries, per class.
+    pub untraced: [(f64, u64); 4],
     /// Queries that returned an error.
     pub errors: u64,
-    /// The first such error.
-    pub first_error: Option<String>,
-    /// Layer counts of the traced queries.
-    pub counters: QueryCounters,
+    /// Answers that differ from the reference.
+    pub wrong: u64,
+    /// The first error or wrong answer.
+    pub first_failure: Option<String>,
+    /// Layer counts of the traced queries, per class.
+    pub counters: [QueryCounters; 4],
 }
 
 impl ClientLog {
@@ -317,16 +315,21 @@ impl ClientLog {
         for (mine, theirs) in self.latencies.iter_mut().zip(o.latencies) {
             mine.extend(theirs);
         }
-        self.traced.0 += o.traced.0;
-        self.traced.1 += o.traced.1;
-        self.untraced.0 += o.untraced.0;
-        self.untraced.1 += o.untraced.1;
-        self.answers.extend(o.answers);
-        self.errors += o.errors;
-        if self.first_error.is_none() {
-            self.first_error = o.first_error;
+        self.wall += o.wall;
+        for (mine, theirs) in self.traced.iter_mut().zip(o.traced) {
+            *mine = (mine.0 + theirs.0, mine.1 + theirs.1);
         }
-        self.counters.absorb(&o.counters);
+        for (mine, theirs) in self.untraced.iter_mut().zip(o.untraced) {
+            *mine = (mine.0 + theirs.0, mine.1 + theirs.1);
+        }
+        self.errors += o.errors;
+        self.wrong += o.wrong;
+        if self.first_failure.is_none() {
+            self.first_failure = o.first_failure;
+        }
+        for (mine, theirs) in self.counters.iter_mut().zip(&o.counters) {
+            mine.absorb(theirs);
+        }
     }
 
     /// Queries answered or failed.
@@ -338,18 +341,37 @@ impl ClientLog {
 /// Shared per-class query counts, for the stop rule.
 pub type ClassCounts = [AtomicU64; 4];
 
-/// True once every class has its [`MIN_SAMPLES`].
-pub fn enough_samples(counts: &ClassCounts) -> bool {
-    counts
-        .iter()
-        .zip(MIN_SAMPLES)
-        .all(|(c, min)| c.load(Ordering::Relaxed) >= min)
+/// True once `class` has `part` of [`ROUNDS`] shares of its
+/// [`MIN_SAMPLES`].
+pub fn has_samples(counts: &ClassCounts, class: Class, part: usize) -> bool {
+    let i = class.index();
+    counts[i].load(Ordering::Relaxed) * ROUNDS as u64 >= MIN_SAMPLES[i] * part as u64
 }
 
-/// A closed-loop client: issues the next query only after the last
-/// one completed, until `keep_going` says stop. With a tracer every
-/// other query is traced, so the untraced half measures the tracing
-/// overhead in the same run.
+/// The class a reader issues at `elapsed` into its timed reads: the
+/// classes take turns in slices of `slice`, so each is measured on its
+/// own, yet every class samples the whole run.
+pub fn class_at(elapsed: Duration, slice: Duration) -> Class {
+    let turn = elapsed.as_nanos() / slice.as_nanos();
+    Class::ALL[(turn % Class::ALL.len() as u128) as usize]
+}
+
+/// True once every class has all its [`MIN_SAMPLES`].
+pub fn enough_samples(counts: &ClassCounts) -> bool {
+    Class::ALL.iter().all(|&c| has_samples(counts, c, ROUNDS))
+}
+
+/// A closed-loop client: issues a query of the class `schedule` names
+/// only after the last one completed, until `schedule` says stop. With
+/// a tracer every other query of each class is traced (per class, so a
+/// turn order cannot line a class up with only traced or only
+/// untraced queries), and the untraced half measures
+/// the tracing overhead in the same run.
+///
+/// Each answer is compared with the reference after its latency is
+/// taken. A Q3 that overlapped a flush may match any version count
+/// between what was flushed when it started and what was being
+/// flushed when it ended; the other classes do not depend on it.
 pub fn client_loop(
     store: &RStore,
     oracle: &Oracle,
@@ -357,73 +379,58 @@ pub fn client_loop(
     vis: &Visibility,
     mut tracer: Option<&mut Tracer>,
     counts: &ClassCounts,
-    keep_going: &dyn Fn() -> bool,
+    schedule: &dyn Fn() -> Option<Class>,
 ) -> ClientLog {
     let mut log = ClientLog::default();
-    let mut i = 0u64;
-    while keep_going() {
+    let start = Instant::now();
+    let mut issued = [0u64; 4];
+    while let Some(class) = schedule() {
         let lo = vis.visible.load(Ordering::SeqCst);
-        let q = gen.next(oracle, lo);
-        let traced = tracer.is_some() && i.is_multiple_of(2);
+        let q = gen.next(class, oracle, lo);
+        let i = q.class().index();
+        let traced = tracer.is_some() && issued[i].is_multiple_of(2);
         let t = if traced { tracer.as_deref_mut() } else { None };
-        let r = run_query(store, &q, t, &mut log.counters);
+        let r = run_query(store, &q, t, &mut log.counters[i]);
         let hi = vis.upcoming.load(Ordering::SeqCst);
         match r {
             Ok((digest, latency)) => {
                 let ms = latency.as_secs_f64() * 1e3;
-                log.latencies[q.class().index()].push(ms);
+                log.latencies[i].push(ms);
                 if tracer.is_some() {
                     let side = if traced {
-                        &mut log.traced
+                        &mut log.traced[i]
                     } else {
-                        &mut log.untraced
+                        &mut log.untraced[i]
                     };
                     side.0 += ms;
                     side.1 += 1;
                 }
-                log.answers.push(Answer { q, lo, hi, digest });
+                let window = if q.class() == Class::Evolution {
+                    lo..=hi
+                } else {
+                    lo..=lo
+                };
+                if !window.into_iter().any(|n| oracle.expected(&q, n) == digest) {
+                    log.wrong += 1;
+                    log.first_failure.get_or_insert_with(|| {
+                        format!(
+                            "{q:?}: got {digest:?}, expected {:?}",
+                            oracle.expected(&q, lo)
+                        )
+                    });
+                }
             }
             Err(e) => {
                 log.errors += 1;
-                log.first_error.get_or_insert_with(|| format!("{q:?}: {e}"));
+                log.first_failure
+                    .get_or_insert_with(|| format!("{q:?}: {e}"));
             }
         }
-        counts[q.class().index()].fetch_add(1, Ordering::Relaxed);
-        i += 1;
+        counts[i].fetch_add(1, Ordering::Relaxed);
+        issued[i] += 1;
     }
+    log.wall = start.elapsed();
     log
-}
-
-/// Compares every answer with the reference. An answer whose query
-/// overlapped a flush may match any version count in its window.
-/// Returns the number of wrong answers and a description of the first.
-pub fn check_answers(oracle: &Oracle, answers: &[Answer]) -> (u64, Option<String>) {
-    let mut memo: HashMap<(Query, u32), Digest> = HashMap::new();
-    let mut expect = |q: &Query, n: u32| {
-        // Only evolution depends on how many versions are visible.
-        let n = if matches!(q, Query::Evolution(_)) {
-            n
-        } else {
-            0
-        };
-        *memo.entry((*q, n)).or_insert_with(|| oracle.expected(q, n))
-    };
-    let mut wrong = 0;
-    let mut first = None;
-    for a in answers {
-        if !(a.lo..=a.hi).any(|n| expect(&a.q, n) == a.digest) {
-            wrong += 1;
-            first.get_or_insert_with(|| {
-                format!(
-                    "{:?}: got {:?}, expected {:?}",
-                    a.q,
-                    a.digest,
-                    expect(&a.q, a.lo)
-                )
-            });
-        }
-    }
-    (wrong, first)
 }
 
 /// Reads back `CHECKED_VERSIONS` seeded versions of `0..n` and compares
@@ -571,8 +578,8 @@ pub struct Measured {
     pub loads: Vec<(LoadReport, Duration)>,
     /// The readers' merged log.
     pub reads: ClientLog,
-    /// Wall time of the read phases.
-    pub read_secs: f64,
+    /// Closed-loop readers running at once.
+    pub clients: usize,
     /// Every online phase.
     pub online: Vec<OnlineRun>,
     /// Cache counters over the read phases: hits, misses, evictions.
@@ -591,8 +598,12 @@ pub struct Measured {
     pub failed: u64,
     /// The first failure.
     pub first_failure: Option<String>,
-    /// Every span of a traced run.
+    /// The spans a traced run kept for its Chrome trace.
     pub spans: Vec<Span>,
+    /// Spans a traced run finished, kept or not.
+    pub spans_finished: usize,
+    /// Self times of every span of a traced run.
+    pub self_times: SelfTimes,
     /// Human-readable notes on sizes.
     pub notes: Vec<String>,
 }
@@ -614,12 +625,11 @@ impl Measured {
         }
     }
 
-    /// Counts the readers' queries and checks their answers.
-    pub fn check_reads(&mut self, oracle: &Oracle) {
-        let (wrong, first) = check_answers(oracle, &self.reads.answers);
-        let errors = self.reads.errors;
-        let first = self.reads.first_error.clone().or(first);
-        self.add_check(self.reads.queries(), wrong + errors, first);
+    /// Counts the readers' queries and their failures.
+    pub fn count_reads(&mut self) {
+        let r = &self.reads;
+        let (queries, failed, first) = (r.queries(), r.errors + r.wrong, r.first_failure.clone());
+        self.add_check(queries, failed, first);
     }
 
     /// Counts the online phases' operations (commits, flushes and
@@ -628,6 +638,155 @@ impl Measured {
         for o in &self.online {
             self.attempted += (o.versions + o.flushes.len() + o.compactions.len() + 1) as u64;
         }
+    }
+}
+
+/// The skeleton every workload shares: timed set-ups, reading phases
+/// with the cache and cluster counters' growth over them, an exact
+/// read-back after each round, and the final checks and metrics. A
+/// workload supplies only what runs in its rounds.
+pub struct Rig<'a> {
+    opts: &'a Options,
+    oracle: &'a Oracle,
+    sizes: Sizes,
+    /// What has been measured so far.
+    pub m: Measured,
+    /// The tracer of the main thread (set-ups, commits, flushes,
+    /// compaction), in a traced run.
+    pub writer: Option<Tracer>,
+    readers: Vec<Option<Tracer>>,
+    counts: ClassCounts,
+    rounds: u64,
+    /// When the run stops even if samples are missing.
+    pub deadline: Instant,
+}
+
+impl<'a> Rig<'a> {
+    /// A run of `clients` closed-loop readers over `oracle`'s dataset.
+    pub fn new(opts: &'a Options, oracle: &'a Oracle, clients: usize) -> Self {
+        let sizes = Sizes::of(opts.scale);
+        let epoch = Instant::now();
+        Self {
+            opts,
+            oracle,
+            sizes,
+            m: Measured {
+                clients,
+                ..Measured::default()
+            },
+            writer: opts.trace.then(|| Tracer::new(epoch, 0)),
+            readers: (0..clients)
+                .map(|c| opts.trace.then(|| Tracer::new(epoch, 1 + c as u32)))
+                .collect(),
+            counts: Default::default(),
+            rounds: 0,
+            deadline: epoch + sizes.max_phase,
+        }
+    }
+
+    /// Rounds ended so far.
+    pub fn rounds(&self) -> usize {
+        self.rounds as usize
+    }
+
+    /// Answered queries per class so far.
+    pub fn counts(&self) -> &ClassCounts {
+        &self.counts
+    }
+
+    /// A round's [`SETUPS_PER_ROUND`] timed set-ups, each a fresh
+    /// store with `cache_budget`, the bulk load of `prefix`, then
+    /// `prepare` (work such as a warm-up is set-up time too). The round
+    /// continues on the last store.
+    pub fn set_up<S>(
+        &mut self,
+        cache_budget: usize,
+        prefix: &Dataset,
+        prepare: impl Fn(&RStore) -> Result<S, String>,
+    ) -> Result<(RStore, S), String> {
+        let mut kept = None;
+        for _ in 0..SETUPS_PER_ROUND {
+            drop(kept.take());
+            let t = Instant::now();
+            let store = new_store(&self.sizes, cache_budget);
+            let report = load(&store, prefix, self.writer.as_mut())?;
+            let prepared = prepare(&store)?;
+            self.m.setup_secs.push(t.elapsed().as_secs_f64());
+            self.m.loads.push(report);
+            kept = Some((store, prepared));
+        }
+        Ok(kept.expect("SETUPS_PER_ROUND > 0"))
+    }
+
+    /// Runs `phase`, which gets the readers' tracers, the writer's and
+    /// the shared class counts and returns the readers' logs; adds the
+    /// logs and the growth of the store's cache and cluster counters
+    /// over the phase.
+    pub fn read_phase<R>(
+        &mut self,
+        store: &RStore,
+        phase: impl FnOnce(
+            &mut [Option<Tracer>],
+            Option<&mut Tracer>,
+            &ClassCounts,
+        ) -> (Vec<ClientLog>, R),
+    ) -> R {
+        let cache0 = store.cache_stats();
+        let cluster0 = store.cluster().stats();
+        let (logs, out) = phase(&mut self.readers, self.writer.as_mut(), &self.counts);
+        self.m.add_cache(&cache0, &store.cache_stats());
+        self.m.batch_gets += store.cluster().stats().since(&cluster0).batch_gets;
+        let mut merged = ClientLog::default();
+        for log in logs {
+            merged.absorb(log);
+        }
+        if let Ok(p50) = percentile(&merged.latencies[Class::Version.index()], 0.5) {
+            let round = self.rounds;
+            self.m
+                .notes
+                .push(format!("round {round}: Q1 p50 {p50:.4} ms"));
+        }
+        self.m.reads.absorb(merged);
+        out
+    }
+
+    /// Ends a round on `store`: reads back a seeded sample of versions
+    /// off the clock and records the store's sizes.
+    pub fn end_round(&mut self, store: &RStore) {
+        let seed = mix(self.opts.seed ^ 0xC4EC ^ self.rounds);
+        let (a, w, first) = check_versions(store, self.oracle, self.oracle.version_count(), seed);
+        self.m.add_check(a, w, first);
+        self.m.storage_bytes = store.storage_bytes();
+        self.m.bytes_written = store.cluster().stats().bytes_written;
+        self.rounds += 1;
+    }
+
+    /// Checks every answer and turns the measurements into metrics.
+    pub fn finish(mut self) -> Result<Outcome, String> {
+        let m = &mut self.m;
+        let setups: Vec<String> = m.setup_secs.iter().map(|t| format!("{t:.3}")).collect();
+        m.notes.push(format!(
+            "{} rounds; set-up times (s): {}",
+            self.rounds,
+            setups.join(" ")
+        ));
+        if Instant::now() >= self.deadline {
+            m.notes.push("the run hit its time cap".into());
+        }
+        let in_store: f64 = m.reads.latencies.iter().flatten().sum::<f64>() / 1e3;
+        m.notes.push(format!(
+            "readers spent {:.1}% of their loop time in store calls",
+            100.0 * ratio(in_store, m.reads.wall.as_secs_f64())
+        ));
+        m.count_online();
+        m.count_reads();
+        m.user_bytes = self.oracle.user_bytes(self.oracle.version_count() as u32);
+        for t in self.readers.into_iter().chain([self.writer]).flatten() {
+            merge_self_times(&mut m.self_times, t.self_times());
+            m.spans_finished += t.finished();
+            m.spans.extend(t.into_spans());
+        }
+        finish(self.m, self.opts)
     }
 }
 
@@ -719,7 +878,7 @@ fn ratio(num: f64, den: f64) -> f64 {
 pub fn finish(m: Measured, opts: &Options) -> Result<Outcome, String> {
     let metrics = if opts.trace {
         if let Some(path) = &opts.trace_path {
-            trace::write_chrome_trace(path, &m.spans)
+            trace::write_chrome_trace(path, &m.spans, m.spans_finished)
                 .map_err(|e| format!("writing {}: {e}", path.display()))?;
         }
         per_layer(&m)?
@@ -728,7 +887,11 @@ pub fn finish(m: Measured, opts: &Options) -> Result<Outcome, String> {
     };
     let mut notes = m.notes;
     if opts.trace {
-        notes.push(format!("spans recorded: {}", m.spans.len()));
+        notes.push(format!(
+            "spans recorded: {}, {} kept for the trace",
+            m.spans_finished,
+            m.spans.len()
+        ));
         if let Some(path) = &opts.trace_path {
             notes.push(format!("chrome trace: {}", path.display()));
         }
@@ -758,8 +921,21 @@ fn end_to_end(m: &Measured) -> Result<Metrics, String> {
     out.percentile("point_p99_ms", &lat[Class::Point.index()], 0.99, "ms")?;
     out.percentile("range_p50_ms", &lat[Class::Range.index()], 0.5, "ms")?;
     out.percentile("evo_p50_ms", &lat[Class::Evolution.index()], 0.5, "ms")?;
+    // Readers that each issue the four classes in turn complete one
+    // query of each per the sum of the classes' mean latencies. Only
+    // time inside store calls counts, and the figure does not depend on
+    // how long each class's phases ran.
+    let mean_sum_ms: f64 = lat
+        .iter()
+        .map(|l| l.iter().sum::<f64>() / l.len() as f64)
+        .sum();
     let answered: usize = lat.iter().map(Vec::len).sum();
-    out.push("read_qps", answered as f64 / m.read_secs, "1/s", answered);
+    out.push(
+        "read_qps",
+        m.clients as f64 * 1e3 * lat.len() as f64 / mean_sum_ms,
+        "1/s",
+        answered,
+    );
     let vps: Vec<f64> = m
         .online
         .iter()
@@ -792,33 +968,53 @@ fn end_to_end(m: &Measured) -> Result<Metrics, String> {
 
 fn per_layer(m: &Measured) -> Result<Metrics, String> {
     let mut out = Metrics(Vec::new());
-    let st = trace::self_times(&m.spans);
-    let c = &m.reads.counters;
-    let nq = c.queries as f64;
-    // Self time of one stage summed over every query class.
-    let stage = |name: &str| -> f64 {
-        st.iter()
-            .filter(|((root, n), _)| root.starts_with("query.") && *n == name)
-            .map(|(_, s)| s.total.as_secs_f64() * 1e3)
+    let st = &m.self_times;
+    // Query metrics are per query of a reader that issues the four
+    // classes in turn: the mean over classes of each class's mean, so
+    // a class that gets faster, and so more frequent in its phases,
+    // does not shift the others' weight.
+    let cs = &m.reads.counters;
+    let n = cs.iter().map(|c| c.queries).sum::<u64>() as usize;
+    let sum_over_classes = |f: &dyn Fn(Class, &QueryCounters) -> f64| -> f64 {
+        Class::ALL
+            .into_iter()
+            .zip(cs)
+            .map(|(class, c)| ratio(f(class, c), c.queries as f64))
             .sum()
     };
-    let n = c.queries as usize;
-    out.push("plan.ms", ratio(stage("plan_query"), nq), "ms", n);
+    let per_query =
+        |f: &dyn Fn(Class, &QueryCounters) -> f64| sum_over_classes(f) / cs.len() as f64;
+    // Self time of one stage of one traced query.
+    let stage = |name: &str| -> f64 {
+        per_query(&|class, _| {
+            st.get(&(root_span(class), name))
+                .map_or(0.0, |s| s.total.as_secs_f64() * 1e3)
+        })
+    };
+    out.push("plan.ms", stage("plan_query"), "ms", n);
     out.push(
         "plan.span_chunks",
-        ratio(c.span_chunks as f64, nq),
+        per_query(&|_, c| c.span_chunks as f64),
         "count",
         n,
     );
     out.push(
         "plan.chunks_per_record",
-        ratio(c.span_chunks as f64, c.records as f64),
+        ratio(
+            sum_over_classes(&|_, c| c.span_chunks as f64),
+            sum_over_classes(&|_, c| c.records as f64),
+        ),
         "ratio",
         n,
     );
-    out.push("serve.queue_wait_ms", ratio(ms(c.queue_wait), nq), "ms", n);
-    out.push("fetch.ms", ratio(stage("execute"), nq), "ms", n);
-    out.push("fetch.bytes", ratio(c.bytes as f64, nq), "B", n);
+    out.push(
+        "serve.queue_wait_ms",
+        per_query(&|_, c| ms(c.queue_wait)),
+        "ms",
+        n,
+    );
+    out.push("fetch.ms", stage("execute"), "ms", n);
+    out.push("fetch.bytes", per_query(&|_, c| c.bytes as f64), "B", n);
     let all = m.reads.queries();
     out.push(
         "fetch.node_batches",
@@ -828,11 +1024,16 @@ fn per_layer(m: &Measured) -> Result<Metrics, String> {
     );
     out.push(
         "fetch.max_node_batch",
-        ratio(c.max_node_batch as f64, nq),
+        per_query(&|_, c| c.max_node_batch as f64),
         "count",
         n,
     );
-    out.push("cluster.modeled_net_ms", ratio(ms(c.modeled), nq), "ms", n);
+    out.push(
+        "cluster.modeled_net_ms",
+        per_query(&|_, c| ms(c.modeled)),
+        "ms",
+        n,
+    );
     let (hits, misses, evictions) = m.cache;
     out.push(
         "cache.hit_rate",
@@ -846,10 +1047,13 @@ fn per_layer(m: &Measured) -> Result<Metrics, String> {
         "count",
         all as usize,
     );
-    out.push("extract.ms", ratio(stage("drain"), nq), "ms", n);
+    out.push("extract.ms", stage("drain"), "ms", n);
     out.push(
         "extract.useful_frac",
-        ratio(c.useful_chunks as f64, c.span_chunks as f64),
+        ratio(
+            sum_over_classes(&|_, c| c.useful_chunks as f64),
+            sum_over_classes(&|_, c| c.span_chunks as f64),
+        ),
         "frac",
         n,
     );
@@ -1011,12 +1215,18 @@ fn per_layer(m: &Measured) -> Result<Metrics, String> {
         "count",
         nr,
     );
-    let (t, u) = (m.reads.traced, m.reads.untraced);
+    // Traced against untraced latency of one query of each class.
+    let mean_sum = |side: &[(f64, u64); 4]| -> f64 {
+        side.iter()
+            .map(|&(total, count)| ratio(total, count as f64))
+            .sum()
+    };
+    let (t, u) = (&m.reads.traced, &m.reads.untraced);
     out.push(
         "trace.overhead_pct",
-        100.0 * (ratio(ratio(t.0, t.1 as f64), ratio(u.0, u.1 as f64)) - 1.0),
+        100.0 * (ratio(mean_sum(t), mean_sum(u)) - 1.0),
         "%",
-        (t.1 + u.1) as usize,
+        t.iter().chain(u).map(|&(_, count)| count as usize).sum(),
     );
     Ok(out)
 }

@@ -2,9 +2,11 @@
 //!
 //! Every traced call gets a span: name, start, end, the span that
 //! caused it and the request it belongs to. Each thread keeps its own
-//! [`Tracer`] in memory; at the end the spans are merged, reduced to
-//! per-name self times (a span's duration minus the part its children
-//! cover) and written out as Chrome trace-event JSON.
+//! [`Tracer`]. Spans nest on a thread, so a span's self time (its
+//! duration minus the part its children cover) is known when it ends;
+//! the tracer adds it to per-name totals at once and keeps only the
+//! first [`MAX_KEPT_SPANS`] spans themselves, for the Chrome
+//! trace-event JSON written at the end.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -12,8 +14,9 @@ use std::io::{self, Write};
 use std::path::Path;
 use std::time::{Duration, Instant};
 
-/// Spans written to the Chrome trace at most; self times cover all.
-pub const MAX_EXPORTED_SPANS: usize = 200_000;
+/// Finished spans each tracer keeps for the Chrome trace; self times
+/// cover every span.
+pub const MAX_KEPT_SPANS: usize = 100_000;
 
 /// One finished span.
 #[derive(Debug, Clone, Copy)]
@@ -32,87 +35,6 @@ pub struct Span {
     pub start: Duration,
     /// End, as an offset from the run's epoch.
     pub end: Duration,
-}
-
-/// A per-thread span recorder. Spans nest: a span begun while another
-/// is open becomes its child and inherits its request id.
-#[derive(Debug)]
-pub struct Tracer {
-    epoch: Instant,
-    tid: u32,
-    next: u64,
-    open: Vec<Span>,
-    done: Vec<Span>,
-}
-
-impl Tracer {
-    /// A tracer for thread `tid`; `epoch` is shared by every tracer
-    /// of the run so their timelines line up.
-    pub fn new(epoch: Instant, tid: u32) -> Self {
-        Self {
-            epoch,
-            tid,
-            next: 0,
-            open: Vec::new(),
-            done: Vec::new(),
-        }
-    }
-
-    fn fresh_id(&mut self) -> u64 {
-        self.next += 1;
-        (u64::from(self.tid) << 40) | self.next
-    }
-
-    /// Opens a span; a root span starts a new request.
-    pub fn begin(&mut self, name: &'static str) {
-        let id = self.fresh_id();
-        let (parent, req) = match self.open.last() {
-            Some(p) => (Some(p.id), p.req),
-            None => (None, id),
-        };
-        let start = self.epoch.elapsed();
-        self.open.push(Span {
-            id,
-            parent,
-            req,
-            name,
-            tid: self.tid,
-            start,
-            end: start,
-        });
-    }
-
-    /// Closes the innermost open span.
-    ///
-    /// # Panics
-    /// Panics when no span is open: begin/end are paired by the
-    /// benchmark's own code, so an unpaired end is a bug in it.
-    pub fn end(&mut self) {
-        let mut span = self.open.pop().expect("end without an open span");
-        span.end = self.epoch.elapsed();
-        self.done.push(span);
-    }
-
-    /// Runs `f` inside a span named `name`.
-    pub fn span<T>(&mut self, name: &'static str, f: impl FnOnce() -> T) -> T {
-        self.begin(name);
-        let out = f();
-        self.end();
-        out
-    }
-
-    /// The finished spans.
-    pub fn into_spans(self) -> Vec<Span> {
-        self.done
-    }
-}
-
-/// Runs `f` inside a span when a tracer is given, untraced otherwise.
-pub fn maybe_span<T>(tracer: Option<&mut Tracer>, name: &'static str, f: impl FnOnce() -> T) -> T {
-    match tracer {
-        Some(t) => t.span(name, f),
-        None => f(),
-    }
 }
 
 /// Count and summed self time of every span with one name.
@@ -135,51 +57,136 @@ impl SelfTime {
     }
 }
 
-/// Self time per `(root, name)`: each span's duration minus the union
-/// of its children's intervals (clipped to the span), grouped by the
-/// name of its request's root span and its own name. A root span is
-/// grouped under its own name twice, as `(name, name)`.
-pub fn self_times(spans: &[Span]) -> HashMap<(&'static str, &'static str), SelfTime> {
-    let mut children: HashMap<u64, Vec<(Duration, Duration)>> = HashMap::new();
-    let mut roots: HashMap<u64, &'static str> = HashMap::new();
-    for s in spans {
-        match s.parent {
-            Some(p) => children.entry(p).or_default().push((s.start, s.end)),
-            None => {
-                roots.insert(s.req, s.name);
-            }
-        }
+/// Self time per `(root, name)`: grouped by the name of the span's
+/// request root and its own name. A root span is grouped under its own
+/// name twice, as `(name, name)`.
+pub type SelfTimes = HashMap<(&'static str, &'static str), SelfTime>;
+
+/// Adds `other`'s totals to `into`.
+pub fn merge_self_times(into: &mut SelfTimes, other: &SelfTimes) {
+    for (key, t) in other {
+        let e = into.entry(*key).or_default();
+        e.count += t.count;
+        e.total += t.total;
     }
-    let mut out: HashMap<(&'static str, &'static str), SelfTime> = HashMap::new();
-    for s in spans {
-        let mut covered = Duration::ZERO;
-        if let Some(kids) = children.get_mut(&s.id) {
-            kids.sort_unstable();
-            let mut cursor = s.start;
-            for &(a, b) in kids.iter() {
-                let a = a.max(cursor);
-                let b = b.min(s.end);
-                if b > a {
-                    covered += b - a;
-                    cursor = b;
-                }
-            }
-        }
-        let root = roots.get(&s.req).copied().unwrap_or(s.name);
-        let entry = out.entry((root, s.name)).or_default();
-        entry.count += 1;
-        entry.total += (s.end - s.start).saturating_sub(covered);
-    }
-    out
 }
 
-/// Writes the first [`MAX_EXPORTED_SPANS`] spans (by start time) as
-/// Chrome trace-event JSON, loadable in `chrome://tracing` or Perfetto.
-pub fn write_chrome_trace(path: &Path, spans: &[Span]) -> io::Result<()> {
+/// A per-thread span recorder. Spans nest: a span begun while another
+/// is open becomes its child and inherits its request id.
+#[derive(Debug)]
+pub struct Tracer {
+    epoch: Instant,
+    tid: u32,
+    next: u64,
+    /// Open spans, outermost first, each with its children's summed
+    /// duration so far.
+    open: Vec<(Span, Duration)>,
+    kept: Vec<Span>,
+    finished: usize,
+    self_times: SelfTimes,
+}
+
+impl Tracer {
+    /// A tracer for thread `tid`; `epoch` is shared by every tracer
+    /// of the run so their timelines line up.
+    pub fn new(epoch: Instant, tid: u32) -> Self {
+        Self {
+            epoch,
+            tid,
+            next: 0,
+            open: Vec::new(),
+            kept: Vec::new(),
+            finished: 0,
+            self_times: SelfTimes::new(),
+        }
+    }
+
+    fn fresh_id(&mut self) -> u64 {
+        self.next += 1;
+        (u64::from(self.tid) << 40) | self.next
+    }
+
+    /// Opens a span; a root span starts a new request.
+    pub fn begin(&mut self, name: &'static str) {
+        let id = self.fresh_id();
+        let (parent, req) = match self.open.last() {
+            Some((p, _)) => (Some(p.id), p.req),
+            None => (None, id),
+        };
+        let start = self.epoch.elapsed();
+        let span = Span {
+            id,
+            parent,
+            req,
+            name,
+            tid: self.tid,
+            start,
+            end: start,
+        };
+        self.open.push((span, Duration::ZERO));
+    }
+
+    /// Closes the innermost open span.
+    ///
+    /// # Panics
+    /// Panics when no span is open: begin/end are paired by the
+    /// benchmark's own code, so an unpaired end is a bug in it.
+    pub fn end(&mut self) {
+        let (mut span, children) = self.open.pop().expect("end without an open span");
+        span.end = self.epoch.elapsed();
+        let duration = span.end - span.start;
+        let root = self.open.first().map_or(span.name, |(r, _)| r.name);
+        let t = self.self_times.entry((root, span.name)).or_default();
+        t.count += 1;
+        t.total += duration.saturating_sub(children);
+        if let Some((_, parent_children)) = self.open.last_mut() {
+            *parent_children += duration;
+        }
+        self.finished += 1;
+        if self.kept.len() < MAX_KEPT_SPANS {
+            self.kept.push(span);
+        }
+    }
+
+    /// Runs `f` inside a span named `name`.
+    pub fn span<T>(&mut self, name: &'static str, f: impl FnOnce() -> T) -> T {
+        self.begin(name);
+        let out = f();
+        self.end();
+        out
+    }
+
+    /// Spans finished, kept or not.
+    pub fn finished(&self) -> usize {
+        self.finished
+    }
+
+    /// The self times of every finished span.
+    pub fn self_times(&self) -> &SelfTimes {
+        &self.self_times
+    }
+
+    /// The kept spans, in the order they finished.
+    pub fn into_spans(self) -> Vec<Span> {
+        self.kept
+    }
+}
+
+/// Runs `f` inside a span when a tracer is given, untraced otherwise.
+pub fn maybe_span<T>(tracer: Option<&mut Tracer>, name: &'static str, f: impl FnOnce() -> T) -> T {
+    match tracer {
+        Some(t) => t.span(name, f),
+        None => f(),
+    }
+}
+
+/// Writes `spans` (ordered by start time) as Chrome trace-event JSON,
+/// loadable in `chrome://tracing` or Perfetto; `finished` is how many
+/// spans were recorded in all, kept or not.
+pub fn write_chrome_trace(path: &Path, spans: &[Span], finished: usize) -> io::Result<()> {
     let mut order: Vec<&Span> = spans.iter().collect();
     order.sort_unstable_by_key(|s| (s.start, s.id));
-    let dropped = order.len().saturating_sub(MAX_EXPORTED_SPANS);
-    order.truncate(MAX_EXPORTED_SPANS);
+    let dropped = finished.saturating_sub(order.len());
     if let Some(dir) = path.parent() {
         std::fs::create_dir_all(dir)?;
     }
@@ -206,8 +213,7 @@ pub fn write_chrome_trace(path: &Path, spans: &[Span]) -> io::Result<()> {
     }
     write!(
         out,
-        "\n],\"otherData\":{{\"spans\":{},\"dropped\":{dropped}}}}}\n",
-        spans.len()
+        "\n],\"otherData\":{{\"spans\":{finished},\"dropped\":{dropped}}}}}\n"
     )?;
     out.flush()
 }
@@ -216,33 +222,25 @@ pub fn write_chrome_trace(path: &Path, spans: &[Span]) -> io::Result<()> {
 mod tests {
     use super::*;
 
-    fn span(id: u64, parent: Option<u64>, name: &'static str, start: u64, end: u64) -> Span {
-        Span {
-            id,
-            parent,
-            req: 1,
-            name,
-            tid: 0,
-            start: Duration::from_millis(start),
-            end: Duration::from_millis(end),
-        }
-    }
-
     #[test]
-    fn self_time_subtracts_children_once() {
-        let spans = [
-            span(1, None, "query", 0, 10),
-            span(2, Some(1), "plan", 1, 3),
-            span(3, Some(1), "execute", 3, 7),
-            // Overlaps execute: its part inside execute is not
-            // subtracted twice from the query.
-            span(4, Some(1), "drain", 6, 12),
-        ];
-        let t = self_times(&spans);
-        assert_eq!(t[&("query", "query")].total, Duration::from_millis(1));
-        assert_eq!(t[&("query", "plan")].total, Duration::from_millis(2));
-        assert_eq!(t[&("query", "drain")].total, Duration::from_millis(6));
-        assert_eq!(t[&("query", "execute")].count, 1);
+    fn self_time_subtracts_children() {
+        let mut t = Tracer::new(Instant::now(), 0);
+        t.begin("query");
+        t.span("plan", || std::thread::sleep(Duration::from_millis(2)));
+        t.span("execute", || std::thread::sleep(Duration::from_millis(4)));
+        std::thread::sleep(Duration::from_millis(1));
+        t.end();
+        let st = t.self_times().clone();
+        let spans = t.into_spans();
+        let dur = |name| {
+            let s = spans.iter().find(|s| s.name == name).unwrap();
+            s.end - s.start
+        };
+        assert_eq!(st[&("query", "plan")].total, dur("plan"));
+        assert_eq!(st[&("query", "execute")].count, 1);
+        let own = st[&("query", "query")].total;
+        assert_eq!(own, dur("query") - dur("plan") - dur("execute"));
+        assert!(own >= Duration::from_millis(1));
     }
 
     #[test]
